@@ -1,13 +1,17 @@
 // Thread-sweep for the parallel RankCache build: per-term ObjectRank
 // vectors are independent (the combination of Section 6's precomputation
 // strategy is linear in them), so the offline build should scale with
-// worker threads while serializing byte-identically to the sequential
-// build. Reports wall time, speedup vs 1 thread, iteration counts, and
-// per-term p50/p95 for each thread count.
+// worker threads while its ORXC2 container file stays byte-identical to
+// the sequential build's. Reports wall time, speedup vs 1 thread,
+// iteration counts, and per-term p50/p95 for each thread count.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,7 +19,27 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/rank_cache.h"
+#include "io/snapshot_io.h"
 #include "text/query.h"
+
+namespace {
+
+// The bytes of `cache` as an ORXC2 container: the file a precompute run
+// ships, written to a temp path and read back.
+orx::StatusOr<std::string> ContainerBytes(const orx::core::RankCache& cache) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("orx_precompute_scaling_" + std::to_string(::getpid()) + ".orxc2"))
+          .string();
+  ORX_RETURN_IF_ERROR(orx::io::WriteRankCacheContainer(cache, path));
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+}  // namespace
 
 int main() {
   using namespace orx;
@@ -76,9 +100,10 @@ int main() {
   core::RankCache reference = core::RankCache::BuildForTerms(
       dblp.dataset.authority(), dblp.dataset.corpus(), rates, terms, options,
       &base_stats);
-  std::stringstream reference_bytes;
-  if (!reference.Serialize(reference_bytes).ok()) {
-    std::printf("reference serialization failed\n");
+  const StatusOr<std::string> reference_bytes = ContainerBytes(reference);
+  if (!reference_bytes.ok()) {
+    std::printf("reference container write failed: %s\n",
+                reference_bytes.status().ToString().c_str());
     return 1;
   }
   const double base_seconds = base_stats.wall_seconds;
@@ -96,12 +121,13 @@ int main() {
     core::RankCache cache = core::RankCache::BuildForTerms(
         dblp.dataset.authority(), dblp.dataset.corpus(), rates, terms,
         options, &stats);
-    std::stringstream bytes;
-    if (!cache.Serialize(bytes).ok()) {
-      std::printf("serialization failed at %d threads\n", threads);
+    const StatusOr<std::string> bytes = ContainerBytes(cache);
+    if (!bytes.ok()) {
+      std::printf("container write failed at %d threads: %s\n", threads,
+                  bytes.status().ToString().c_str());
       return 1;
     }
-    const bool identical = bytes.str() == reference_bytes.str();
+    const bool identical = *bytes == *reference_bytes;
     records.push_back(record_point(threads, stats));
     table.AddRow({std::to_string(threads),
                   FormatDouble(stats.wall_seconds, 2),
@@ -123,8 +149,8 @@ int main() {
                        bench::JsonArray(records));
   std::printf("Each term's power iteration is sequential; threads only "
               "change which worker ranks which term, never the arithmetic, "
-              "so the serialized cache must be byte-identical at every "
-              "thread count. Speedup tracks physical cores (the per-term "
+              "so the cache's container file must be byte-identical at "
+              "every thread count. Speedup tracks physical cores (the per-term "
               "pull loops are memory-bound).\n");
   return 0;
 }

@@ -1,14 +1,18 @@
 // Fuzz target for the mmap container loaders (io/container.h +
 // io/snapshot_io.h, "ORXD2"/"ORXC2" formats). These face arbitrary
-// on-disk bytes through OpenMappedDataset / OpenMappedRankCache, and the
-// attack surface is different from the streamed deserializers: hostile
+// on-disk bytes through OpenMappedDataset / OpenMappedRankCache: hostile
 // section offsets/sizes/counts must be rejected by bounds arithmetic
 // before any typed span is formed, because a bad span is an out-of-bounds
-// *read through the mapping*, not a short stream. The harness materializes
-// the input as a memfd (the loaders only speak paths) and asserts:
+// *read through the mapping*. The harness materializes the input as a
+// memfd (the loaders only speak paths) and asserts:
 //  * no crash / sanitizer report on any input;
 //  * anything the deep-validating open accepts also passes the structural
 //    validator cross-checks (trap otherwise);
+//  * any rank cache the fast open accepts keeps FromParts' structural
+//    promises — non-empty terms, num_nodes scores per dense entry,
+//    in-range compressed node ids with matching value arrays — since a
+//    violation would make Query read out of bounds (trap otherwise);
+//    value-level garbage (NaN masses/scores) is merely exercised;
 //  * the fast path (deep_validate=false) accepts a superset of what the
 //    deep path accepts — deep validation only ever tightens.
 
@@ -61,6 +65,28 @@ std::string MaterializeInput(const uint8_t* data, size_t size) {
   return path;
 }
 
+/// Largest node count whose Query the harness runs (32 MiB of scores).
+constexpr size_t kMaxQueryNodes = size_t{1} << 22;
+
+/// FromParts' structural promises, checked through the public packed
+/// view: PackEntries refuses a dense row that is not num_nodes() long,
+/// every term is non-empty, and compressed node ids are in range with
+/// one value each.
+bool KeepsStructuralPromises(const orx::core::RankCache& cache) {
+  auto packed = cache.PackEntries();
+  if (!packed.ok()) return false;
+  for (size_t t = 0; t + 1 < packed->offsets.size(); ++t) {
+    if (packed->offsets[t] >= packed->offsets[t + 1]) return false;
+  }
+  for (const auto* nodes : {&packed->head_nodes, &packed->tail_nodes}) {
+    for (const uint32_t v : *nodes) {
+      if (v >= cache.num_nodes()) return false;
+    }
+  }
+  return packed->head_scores.size() == packed->head_nodes.size() &&
+         packed->tail_quants.size() == packed->tail_nodes.size();
+}
+
 void ReleaseInput(const std::string& path) {
   if (path.rfind("/proc/self/fd/", 0) == 0) {
     close(std::atoi(path.c_str() + sizeof("/proc/self/fd/") - 1));
@@ -105,10 +131,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     auto shallow = orx::io::OpenMappedRankCache(path, fast);
     if (deep.ok() && !shallow.ok()) __builtin_trap();
     if (shallow.ok()) {
+      if (!KeepsStructuralPromises(*shallow)) __builtin_trap();
+      orx::IgnoreError(shallow->ValidateInvariants());
       // Value-level garbage (NaN scores) is reachable on the fast path;
-      // Query must degrade to a Status, never crash.
-      orx::text::QueryVector query(orx::text::ParseQuery("olap data cube"));
-      orx::IgnoreError(shallow->Query(query));
+      // Query must degrade to a Status, never crash. Query allocates one
+      // double per node, and an all-compressed cache may claim any node
+      // count, so caches claiming more than kMaxQueryNodes are not
+      // queried (serving pairs a cache with its dataset's node count).
+      if (shallow->num_nodes() <= kMaxQueryNodes) {
+        orx::text::QueryVector query(
+            orx::text::ParseQuery("olap data cube"));
+        orx::IgnoreError(shallow->Query(query));
+      }
     }
   }
 

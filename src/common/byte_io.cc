@@ -6,7 +6,7 @@
 namespace orx {
 namespace {
 
-// Elements appended per growth step of a length-prefixed read. Bounds
+// Bytes appended per growth step of a length-prefixed read. Bounds
 // the allocation a corrupt length field can force before the stream
 // runs out of bytes: one chunk, not the full claimed length.
 constexpr size_t kChunkElements = size_t{1} << 16;
@@ -75,23 +75,6 @@ Status ByteReader::ReadString(std::string* s, uint64_t limit,
     const size_t old_size = s->size();
     s->resize(old_size + step);
     ORX_RETURN_IF_ERROR(ReadBytes(s->data() + old_size, step, what));
-    remaining -= step;
-  }
-  return Status::OK();
-}
-
-Status ByteReader::ReadFloatArray(std::vector<float>* out, size_t count,
-                                  const char* what) {
-  static_assert(sizeof(float) == 4);
-  out->clear();
-  size_t remaining = count;
-  while (remaining > 0) {
-    const size_t step = std::min(remaining, kChunkElements);
-    const size_t old_size = out->size();
-    out->resize(old_size + step);
-    ORX_RETURN_IF_ERROR(ReadBytes(
-        reinterpret_cast<char*>(out->data() + old_size), step * sizeof(float),
-        what));
     remaining -= step;
   }
   return Status::OK();

@@ -4,24 +4,22 @@
 #include <cstdint>
 #include <istream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
 namespace orx {
 
 /// Little-endian primitive reader over an std::istream for the binary
-/// (de)serializers (io/dataset_io, core/rank_cache). Two jobs beyond
-/// plain stream reads, both aimed at untrusted input:
+/// decoders of untrusted bytes (net/frame's ORXN payloads and the meta
+/// blobs of io/snapshot_io's containers). Two jobs beyond plain stream
+/// reads:
 ///
 ///  * every read tracks the byte offset consumed so far, and every error
-///    is kDataLoss naming that offset — "truncated score vector at byte
-///    1 032" instead of "truncated stream";
-///  * length-prefixed reads (ReadString, ReadFloatArray) grow their
-///    destination in bounded chunks as bytes actually arrive, so a
-///    corrupt or hostile length field can never drive one huge eager
-///    allocation before the stream runs dry, and the count * element-size
-///    arithmetic cannot overflow.
+///    is kDataLoss naming that offset — "truncated query at byte 12"
+///    instead of "truncated stream";
+///  * ReadString grows its destination in bounded chunks as bytes
+///    actually arrive, so a corrupt or hostile length field can never
+///    drive one huge eager allocation before the stream runs dry.
 ///
 /// The reader owns no state beyond the offset; interleaving it with
 /// direct stream reads would desynchronize offset() and is unsupported.
@@ -45,11 +43,6 @@ class ByteReader {
   /// kDataLoss ("implausible <what> length L at byte N") — limits are
   /// per-field sanity bounds, not stream positions.
   Status ReadString(std::string* s, uint64_t limit, const char* what);
-
-  /// Reads exactly `count` little-endian floats into `*out` (replacing
-  /// its contents), growing in bounded chunks.
-  Status ReadFloatArray(std::vector<float>* out, size_t count,
-                        const char* what);
 
  private:
   Status Truncated(const char* what) const;

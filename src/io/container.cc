@@ -1,8 +1,13 @@
 #include "io/container.h"
 
-#include <fstream>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <filesystem>
 
 #include "common/check.h"
+#include "common/strings.h"
 
 namespace orx::io {
 namespace {
@@ -10,14 +15,39 @@ namespace {
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
-// Writes `n` zero bytes of alignment padding.
-void WritePadding(std::ofstream& out, size_t n) {
+// write(2) until all `n` bytes are out; false (errno set) on failure.
+bool WriteAll(int fd, const char* data, size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::write(fd, data, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += w;
+    n -= static_cast<size_t>(w);
+  }
+  return true;
+}
+
+// Writes `n` zero bytes of alignment padding (n < kSectionAlign).
+bool WritePadding(int fd, size_t n) {
   static const char zeros[kSectionAlign] = {};
-  out.write(zeros, static_cast<std::streamsize>(n));
+  return WriteAll(fd, zeros, n);
 }
 
 size_t AlignUp(size_t v) {
   return (v + kSectionAlign - 1) & ~(kSectionAlign - 1);
+}
+
+// fsyncs the directory holding `path`, so a rename into it is durable.
+bool SyncParentDir(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace
@@ -87,21 +117,48 @@ Status ContainerWriter::WriteTo(const std::string& path) const {
   header.toc_offset = toc_offset;
   header.endian = kEndianSentinel;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return NotFoundError("cannot open for writing: " + path);
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  // Replace by rename: the bytes go to a sibling temp file, which is
+  // fsynced and renamed over `path`, then the directory is fsynced. A
+  // crash leaves either the old container or the new one, never a torn
+  // file, and a process that has the old one mapped keeps reading its
+  // own inode instead of bytes rewritten under it.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return NotFoundError("cannot open for writing: " + tmp + ": " +
+                         ErrnoString(errno));
+  }
+  bool ok = WriteAll(fd, reinterpret_cast<const char*>(&header),
+                     sizeof(header));
   size_t written = sizeof(header);
-  for (size_t i = 0; i < sections_.size(); ++i) {
-    WritePadding(out, toc[i].offset - written);
+  for (size_t i = 0; ok && i < sections_.size(); ++i) {
     const std::span<const char> bytes = sections_[i].bytes();
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ok = WritePadding(fd, toc[i].offset - written) &&
+         WriteAll(fd, bytes.data(), bytes.size());
     written = toc[i].offset + bytes.size();
   }
-  WritePadding(out, toc_offset - written);
-  out.write(reinterpret_cast<const char*>(toc.data()),
-            static_cast<std::streamsize>(toc.size() * sizeof(SectionEntry)));
-  out.flush();
-  if (!out) return InternalError("container write failed: " + path);
+  ok = ok && WritePadding(fd, toc_offset - written) &&
+       WriteAll(fd, reinterpret_cast<const char*>(toc.data()),
+                toc.size() * sizeof(SectionEntry)) &&
+       ::fsync(fd) == 0;
+  auto fail = [&](const char* step) {
+    const std::string err = ErrnoString(errno);
+    ::unlink(tmp.c_str());
+    return InternalError("container " + std::string(step) + " failed: " +
+                         path + ": " + err);
+  };
+  if (!ok) {
+    const Status status = fail("write");
+    ::close(fd);
+    return status;
+  }
+  if (::close(fd) != 0) return fail("close");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) return fail("rename");
+  if (!SyncParentDir(path)) {
+    return InternalError("container directory sync failed: " + path + ": " +
+                         ErrnoString(errno));
+  }
   return Status::OK();
 }
 

@@ -101,8 +101,11 @@ class ContainerWriter {
   /// Adds a section owning `bytes` (elem_size 1).
   void AddOwned(std::string_view name, std::string bytes);
 
-  /// Streams header + sections + TOC to `path` (truncating). O(total
-  /// payload) sequential writes.
+  /// Streams header + sections + TOC to `<path>.tmp.<pid>`, fsyncs it,
+  /// renames it over `path` and fsyncs the directory. `path` only ever
+  /// holds a complete container, and mappings of the file it replaces
+  /// stay valid. On error the temp file is removed and `path` is
+  /// untouched. O(total payload) sequential writes.
   Status WriteTo(const std::string& path) const;
 
  private:

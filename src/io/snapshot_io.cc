@@ -403,7 +403,9 @@ std::string BuildRankCacheMeta(const core::RankCache& cache,
 
 Status WriteRankCacheContainer(const core::RankCache& cache,
                                const std::string& path) {
-  const core::RankCache::PackedEntries packed = cache.PackEntries();
+  auto packed_or = cache.PackEntries();
+  if (!packed_or.ok()) return packed_or.status();
+  const core::RankCache::PackedEntries& packed = *packed_or;
   const bool compressed = !packed.kinds.empty();
   ContainerWriter writer(kRankCacheMagic);
   writer.AddOwned("meta",

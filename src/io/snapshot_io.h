@@ -20,11 +20,12 @@ namespace orx::io {
 /// ORXD2: a complete serving dataset as one mmap-friendly container —
 /// data graph (packed attributes + text heap), authority CSR (both
 /// halves), SELL structure, fused weights for the serving rates, corpus
-/// CSR + term heap, and a meta blob (name, schema, rates, avdl). Where
-/// io/dataset_io.cc re-parses and re-derives every index on load
-/// (seconds at DBLPcomplete scale), an ORXD2 attach is a handful of
-/// shape checks over mmap'd arrays — milliseconds, independent of
-/// dataset size — and the page cache streams the rest on demand.
+/// CSR + term heap, and a meta blob (name, schema, rates, avdl). Every
+/// derived index is stored, so an attach re-derives nothing: it is a
+/// handful of shape checks over mmap'd arrays — milliseconds,
+/// independent of dataset size — and the page cache streams the rest on
+/// demand. ORXD2 and ORXC2 are ORX's only binary file formats; io/graph_tsv
+/// is the human-editable interchange format for heap Datasets.
 
 /// Writes `dataset` (finalized) with its serving `rates` to `path`.
 /// Builds the SELL structure + fused weights so the loader gets them for
@@ -104,7 +105,9 @@ serve::ServeSnapshot SnapshotFromMapped(
 
 /// ORXC2: a precomputed RankCache as a container — term heap + offsets,
 /// per-term masses, and the dense terms x nodes float score matrix
-/// (the dominant payload, attached zero-copy).
+/// (the dominant payload, attached zero-copy). kInternal, before the
+/// file is touched, if a dense entry's score vector is not num_nodes()
+/// long (see RankCache::PackEntries).
 Status WriteRankCacheContainer(const core::RankCache& cache,
                                const std::string& path);
 

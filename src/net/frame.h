@@ -13,8 +13,7 @@
 namespace orx::net {
 
 /// The ORX wire protocol: length-prefixed binary frames, little-endian
-/// throughout (the dataset serializer's conventions — see io/dataset_io
-/// and common/byte_io).
+/// throughout, decoded with common/byte_io's offset-tracking reader.
 ///
 /// Frame layout:
 ///   u32  magic        "ORXN" (0x4E58524F little-endian)

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "core/searcher.h"
+#include "datasets/bio_generator.h"
+#include "datasets/bio_schema.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/dblp_schema.h"
 #include "datasets/figure1.h"
@@ -115,6 +118,92 @@ TEST(ContainerWriterTest, SectionsAreAlignedAndHashed) {
   // Wrong element type and missing names are errors, not garbage reads.
   EXPECT_FALSE(mapped->Section<uint64_t>("a").ok());
   EXPECT_EQ(mapped->Bytes("nope").status().code(), StatusCode::kNotFound);
+}
+
+TEST(ContainerWriterTest, RepackKeepsAnExistingMappingIntact) {
+  // Dataset A is mapped (as by a running orx_serve) while a different,
+  // larger dataset B is packed over the same path. The writer must
+  // replace the file by rename, so the mapping keeps reading A's inode;
+  // rewriting the file in place would change bytes under the reader.
+  const std::string path = TempPath("repack.orxd2");
+  PackedFigure1 a = MakePackedFigure1("repack.orxd2");
+  const std::string a_bytes = ReadFileBytes(path);
+  auto mapped = OpenMappedDataset(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  datasets::DblpDataset b = datasets::GenerateDblp(
+      datasets::DblpGeneratorConfig::Tiny(/*papers=*/300, /*seed=*/17));
+  ASSERT_NE(b.dataset.name(), a.fig.dataset.name());
+  ASSERT_TRUE(WriteDatasetContainer(
+                  b.dataset,
+                  datasets::DblpGroundTruthRates(b.dataset.schema(), b.types),
+                  path)
+                  .ok());
+
+  const MappedDataset& m = **mapped;
+  ASSERT_TRUE(std::string(m.container().file()->data(),
+                          m.container().file()->size()) == a_bytes)
+      << "the mapped bytes changed under the reader";
+  EXPECT_TRUE(m.container().VerifyHashes().ok());
+  EXPECT_EQ(m.name(), a.fig.dataset.name());
+  EXPECT_EQ(m.data().num_nodes(), a.fig.dataset.data().num_nodes());
+  EXPECT_EQ(m.data().Text(a.fig.v7_data_cube),
+            a.fig.dataset.data().Text(a.fig.v7_data_cube));
+  // The path now holds B, complete, and no temp file is left beside it.
+  auto reopened = OpenMappedDataset(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->name(), b.dataset.name());
+  EXPECT_EQ((*reopened)->data().num_nodes(), b.dataset.data().num_nodes());
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    EXPECT_EQ(entry.path().filename().string().find("repack.orxd2.tmp"),
+              std::string::npos);
+  }
+}
+
+TEST(ContainerWriterTest, FailedWriteLeavesTargetAndNoTempFile) {
+  // A directory at the target path makes the final rename fail after
+  // the temp file is fully written: the error must surface, the target
+  // must be untouched, and the temp file must be removed.
+  const std::string path = TempPath("occupied_target.orxd2");
+  std::filesystem::remove_all(path);
+  ASSERT_TRUE(std::filesystem::create_directories(path + "/occupied"));
+  std::vector<uint32_t> a = {1, 2, 3};
+  ContainerWriter writer(kDatasetMagic);
+  writer.Add<uint32_t>("a", a);
+  const Status status = writer.WriteTo(path);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("rename failed"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    EXPECT_EQ(
+        entry.path().filename().string().find("occupied_target.orxd2.tmp"),
+        std::string::npos);
+  }
+  std::filesystem::remove_all(path);
+}
+
+TEST(MappedDatasetTest, PackIsDeterministicAndKeepsSchemaHandles) {
+  // Packing is a pure function of the dataset and rates, and a non-DBLP
+  // schema survives it with its type handles recoverable.
+  datasets::BioDataset bio = datasets::GenerateBio(
+      datasets::BioGeneratorConfig::Tiny(/*pubs=*/200, /*seed=*/13));
+  const graph::TransferRates rates(bio.dataset.schema(), 0.3);
+  const std::string first = TempPath("bio_first.orxd2");
+  const std::string second = TempPath("bio_second.orxd2");
+  ASSERT_TRUE(WriteDatasetContainer(bio.dataset, rates, first).ok());
+  ASSERT_TRUE(WriteDatasetContainer(bio.dataset, rates, second).ok());
+  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
+
+  auto mapped = OpenMappedDataset(first);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ((*mapped)->data().num_nodes(), bio.dataset.data().num_nodes());
+  EXPECT_EQ((*mapped)->data().num_edges(), bio.dataset.data().num_edges());
+  auto types = datasets::BioTypesFromSchema((*mapped)->schema());
+  ASSERT_TRUE(types.ok()) << types.status().ToString();
+  EXPECT_EQ(types->gene, bio.types.gene);
 }
 
 TEST(MappedDatasetTest, RoundTripMatchesInMemoryDataset) {
@@ -359,34 +448,140 @@ TEST(MappedDatasetTest, DeepValidationCatchesSchemaViolatingEdges) {
   EXPECT_TRUE(OpenMappedDataset(p.path, fast).ok());
 }
 
-TEST(MappedRankCacheTest, RoundTripIsExact) {
-  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
-  graph::TransferRates rates =
-      datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
-  core::RankCache::Options options;
-  core::RankCache cache =
-      core::RankCache::Build(fig.dataset.authority(), fig.dataset.corpus(),
-                             rates, options);
-  ASSERT_GT(cache.Terms().size(), 0u);
-
-  const std::string path = TempPath("cache.orxc2");
+/// Writes `cache` as an ORXC2 container, attaches it, and asserts the
+/// round trip is exact: header fields and BM25 parameters, every packed
+/// array bit for bit, the answer to `query`, and a byte-identical file
+/// when the attached cache is written again.
+void ExpectRankCacheRoundTrip(const core::RankCache& cache,
+                              const std::string& name, const char* query) {
+  SCOPED_TRACE(name);
+  const std::string path = TempPath(name + ".orxc2");
   ASSERT_TRUE(WriteRankCacheContainer(cache, path).ok());
   auto loaded = OpenMappedRankCache(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(loaded->num_nodes(), cache.num_nodes());
   EXPECT_EQ(loaded->rates_fingerprint(), cache.rates_fingerprint());
+  EXPECT_EQ(loaded->bm25_params().k1, cache.bm25_params().k1);
+  EXPECT_EQ(loaded->bm25_params().b, cache.bm25_params().b);
+  EXPECT_EQ(loaded->bm25_params().k3, cache.bm25_params().k3);
+  EXPECT_EQ(loaded->num_compressed_terms(), cache.num_compressed_terms());
   ASSERT_EQ(loaded->Terms(), cache.Terms());
-  // Bit-exact: the packed representations must agree float for float.
-  const core::RankCache::PackedEntries a = cache.PackEntries();
-  const core::RankCache::PackedEntries b = loaded->PackEntries();
-  EXPECT_EQ(a.offsets, b.offsets);
-  EXPECT_EQ(a.heap, b.heap);
-  EXPECT_EQ(a.masses, b.masses);
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (size_t i = 0; i < a.scores.size(); ++i) {
-    ASSERT_EQ(a.scores[i], b.scores[i]) << "score " << i;
-  }
+
+  auto a = cache.PackEntries();
+  auto b = loaded->PackEntries();
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->offsets, b->offsets);
+  EXPECT_EQ(a->heap, b->heap);
+  EXPECT_EQ(a->masses, b->masses);
+  EXPECT_TRUE(a->scores == b->scores);
+  EXPECT_EQ(a->kinds, b->kinds);
+  ASSERT_EQ(a->descs.size(), b->descs.size());
+  EXPECT_TRUE(a->descs.empty() ||
+              std::memcmp(a->descs.data(), b->descs.data(),
+                          a->descs.size() * sizeof(a->descs[0])) == 0);
+  EXPECT_EQ(a->head_nodes, b->head_nodes);
+  EXPECT_TRUE(a->head_scores == b->head_scores);
+  EXPECT_EQ(a->tail_nodes, b->tail_nodes);
+  EXPECT_EQ(a->tail_quants, b->tail_quants);
+
+  const text::QueryVector q(text::ParseQuery(query));
+  auto ra = cache.Query(q);
+  auto rb = loaded->Query(q);
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  EXPECT_EQ(ra->scores, rb->scores);
+  EXPECT_EQ(ra->error_bound, rb->error_bound);
+  EXPECT_EQ(ra->missing_terms, rb->missing_terms);
+
+  const std::string again = TempPath(name + "_again.orxc2");
+  ASSERT_TRUE(WriteRankCacheContainer(*loaded, again).ok());
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(again));
+}
+
+TEST(MappedRankCacheTest, RoundTripIsExact) {
+  // Every Figure 1 term, dense.
+  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
+  graph::TransferRates rates =
+      datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
+  core::RankCache figure1 =
+      core::RankCache::Build(fig.dataset.authority(), fig.dataset.corpus(),
+                             rates, core::RankCache::Options());
+  ASSERT_GT(figure1.Terms().size(), 0u);
+  EXPECT_EQ(figure1.rates_fingerprint(), rates.Fingerprint());
+  ExpectRankCacheRoundTrip(figure1, "figure1", "olap data cube");
+
+  // A generated DBLP under non-default BM25 parameters.
+  datasets::DblpDataset dblp = datasets::GenerateDblp(
+      datasets::DblpGeneratorConfig::Tiny(/*papers=*/300, /*seed=*/17));
+  graph::TransferRates dblp_rates =
+      datasets::DblpGroundTruthRates(dblp.dataset.schema(), dblp.types);
+  core::RankCache::Options options;
+  options.bm25.k1 = 1.7;
+  options.bm25.b = 0.5;
+  options.bm25.k3 = 3.0;
+  core::RankCache tuned = core::RankCache::BuildForTerms(
+      dblp.dataset.authority(), dblp.dataset.corpus(), dblp_rates,
+      {"data", "mining", "query"}, options);
+  ASSERT_EQ(tuned.num_terms(), 3u);
+  ASSERT_FALSE(tuned.MatchesBm25(text::Bm25Params()));
+  ExpectRankCacheRoundTrip(tuned, "dblp_bm25", "data mining");
+
+  // The same cache compressed: head + quantized tail + drop bound.
+  core::RankCache::CompressionOptions squeeze;
+  squeeze.head = 2;
+  squeeze.drop_threshold = 1e-3;
+  squeeze.min_ratio = 1.0;
+  ASSERT_GT(tuned.Compress(squeeze).terms_compressed, 0u);
+  ExpectRankCacheRoundTrip(tuned, "dblp_compressed", "data mining query");
+}
+
+/// A two-term Figure 1 cache written as an ORXC2 container whose
+/// rc_offsets[1] is then patched to `offset` (section hash left stale).
+std::string CacheWithPatchedTermOffset(const std::string& name,
+                                       uint64_t offset) {
+  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
+  graph::TransferRates rates =
+      datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
+  core::RankCache cache = core::RankCache::BuildForTerms(
+      fig.dataset.authority(), fig.dataset.corpus(), rates,
+      {"cube", "olap"}, core::RankCache::Options());
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(WriteRankCacheContainer(cache, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const int offsets = FindSection(bytes, "rc_offsets");
+  EXPECT_GE(offsets, 0);
+  const SectionEntry e = GetSection(bytes, offsets);
+  std::memcpy(bytes.data() + e.offset + sizeof(uint64_t), &offset,
+              sizeof(offset));
+  WriteFileBytes(path, bytes);
+  return path;
+}
+
+TEST(MappedRankCacheTest, RejectsEmptyTerm) {
+  // offsets[1] = 0: term 0 becomes empty, which would shadow real
+  // lookups. The attach must refuse it even on the fast path, which
+  // skips hashes and deep validation.
+  const std::string path =
+      CacheWithPatchedTermOffset("empty_term.orxc2", 0);
+  MappedDatasetOptions fast;
+  fast.deep_validate = false;
+  auto result = OpenMappedRankCache(path, fast);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(result.status().message().find("empty"), std::string::npos)
+      << result.status().message();
+}
+
+TEST(MappedRankCacheTest, RejectsTermOffsetPastHeap) {
+  // Regression (found by container_fuzz): an interior offset past the
+  // term heap was read before the monotonicity check rejected it.
+  const std::string path =
+      CacheWithPatchedTermOffset("offset_past_heap.orxc2", 1u << 30);
+  MappedDatasetOptions fast;
+  fast.deep_validate = false;
+  auto result = OpenMappedRankCache(path, fast);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(MappedRankCacheTest, RejectsTruncationAndWrongMagic) {
@@ -400,10 +595,17 @@ TEST(MappedRankCacheTest, RejectsTruncationAndWrongMagic) {
   ASSERT_TRUE(WriteRankCacheContainer(cache, path).ok());
   // An ORXC2 file is not a dataset.
   EXPECT_EQ(OpenMappedDataset(path).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(OpenMappedRankCache("/nonexistent/c.orxc2").status().code(),
+            StatusCode::kNotFound);
+  // Every truncation is kDataLoss, never a crash (the suite runs under
+  // ASan in CI).
   const std::string bytes = ReadFileBytes(path);
-  WriteFileBytes(path, bytes.substr(0, bytes.size() / 2));
-  EXPECT_EQ(OpenMappedRankCache(path).status().code(),
-            StatusCode::kDataLoss);
+  for (size_t cut = 0; cut < bytes.size(); cut += 7) {
+    WriteFileBytes(path, bytes.substr(0, cut));
+    EXPECT_EQ(OpenMappedRankCache(path).status().code(),
+              StatusCode::kDataLoss)
+        << "cut at " << cut;
+  }
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "core/searcher.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/figure1.h"
+#include "io/snapshot_io.h"
 #include "text/query.h"
 
 namespace orx::core {
@@ -20,6 +23,15 @@ struct RankCacheTestPeer {
 };
 
 namespace {
+
+// The bytes of `cache` written as an ORXC2 container named `name`.
+std::string ContainerBytes(const RankCache& cache, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(io::WriteRankCacheContainer(cache, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 class RankCacheTest : public ::testing::Test {
  protected:
@@ -145,128 +157,6 @@ TEST_F(RankCacheTest, UnknownTermsAreSkippedAtBuild) {
   EXPECT_FALSE(cache.Contains("zzznotaword"));
 }
 
-TEST_F(RankCacheTest, SerializationRoundTrip) {
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
-      {"data", "mining"}, options_);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  auto loaded = RankCache::Deserialize(stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_terms(), cache.num_terms());
-  EXPECT_EQ(loaded->num_nodes(), cache.num_nodes());
-
-  text::QueryVector query(text::ParseQuery("data mining"));
-  auto original = cache.Query(query);
-  auto reloaded = loaded->Query(query);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(original->scores, reloaded->scores);
-
-  // Serialization is byte-stable.
-  std::stringstream second;
-  ASSERT_TRUE(loaded->Serialize(second).ok());
-  EXPECT_EQ(stream.str(), second.str());
-}
-
-TEST_F(RankCacheTest, DeserializeRejectsCorruptStreams) {
-  std::stringstream bad("JUNK");
-  EXPECT_EQ(RankCache::Deserialize(bad).status().code(),
-            StatusCode::kDataLoss);
-
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  const std::string bytes = stream.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_EQ(RankCache::Deserialize(truncated).status().code(),
-            StatusCode::kDataLoss);
-}
-
-TEST_F(RankCacheTest, CorruptedFixturesFailWithByteOffsets) {
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  const std::string bytes = stream.str();
-  // Layout: magic(4) version(4) num_nodes(4) fingerprint(8) bm25(24)
-  // num_entries(4) = 48-byte header, then per entry: u32 term length.
-  auto patch_u32 = [&](size_t at, uint32_t v) {
-    std::string copy = bytes;
-    for (int i = 0; i < 4; ++i) {
-      copy[at + static_cast<size_t>(i)] =
-          static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
-    return copy;
-  };
-
-  {
-    // Oversized node count: rejected before any per-entry allocation.
-    std::stringstream s(patch_u32(8, 0xFFFFFFFFu));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(result.status().message().find("implausible"),
-              std::string::npos);
-    EXPECT_NE(result.status().message().find("at byte 8"),
-              std::string::npos);
-  }
-  {
-    // Oversized term length field.
-    std::stringstream s(patch_u32(48, 0xFFFFFFFFu));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(result.status().message().find("term"), std::string::npos);
-  }
-  {
-    // Entry count far beyond the stream: the chunked reads must fail at
-    // end-of-stream instead of allocating for the claimed entries.
-    std::stringstream s(patch_u32(44, 1u << 26));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  }
-  {
-    // Zero-length term (found by rank_cache_fuzz): Serialize never writes
-    // one, and an empty map key would shadow real lookups — reject it.
-    std::stringstream s(patch_u32(48, 0));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(result.status().message().find("empty"), std::string::npos)
-        << result.status().message();
-  }
-  // Truncation at every byte boundary: always kDataLoss naming the
-  // offset where the stream ran dry, never a crash (the suite runs under
-  // ASan in CI).
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    auto result = RankCache::Deserialize(truncated);
-    ASSERT_FALSE(result.ok()) << "cut at " << cut;
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
-        << "cut at " << cut;
-    EXPECT_NE(result.status().message().find("at byte"), std::string::npos)
-        << "cut at " << cut << ": " << result.status().message();
-  }
-}
-
-TEST_F(RankCacheTest, FileSaveAndLoad) {
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  const std::string path = ::testing::TempDir() + "/orx_cache.orxc";
-  ASSERT_TRUE(cache.Save(path).ok());
-  auto loaded = RankCache::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->Contains("data"));
-  EXPECT_EQ(RankCache::Load("/nonexistent/c.orxc").status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST_F(RankCacheTest, SearcherAnswersFromAttachedCache) {
   RankCache cache = RankCache::BuildForTerms(
       dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
@@ -315,30 +205,21 @@ TEST_F(RankCacheTest, SearcherAnswersFromAttachedCache) {
   EXPECT_FALSE(detached->from_cache);
 }
 
-TEST_F(RankCacheTest, FingerprintSurvivesSerialization) {
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  EXPECT_EQ(cache.rates_fingerprint(), rates_.Fingerprint());
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  auto loaded = RankCache::Deserialize(stream);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rates_fingerprint(), cache.rates_fingerprint());
-}
-
-TEST_F(RankCacheTest, SerializeRejectsLengthMismatchedEntry) {
-  // Regression: Serialize used to write entry.scores.size() floats while
-  // Deserialize reads exactly num_nodes — a mismatched entry silently
-  // shifted every subsequent entry in the stream. It must be an error.
+TEST_F(RankCacheTest, WriteRankCacheContainerRejectsLengthMismatchedEntry) {
+  // Regression: the writer used to pack entry.scores.size() floats into
+  // the dense terms x num_nodes matrix, so one mismatched entry shifted
+  // every later row and produced a file that the attach refuses. It must
+  // fail at write time instead, leaving no file behind.
   RankCache cache = RankCache::BuildForTerms(
       dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
       {"data", "mining"}, options_);
   RankCacheTestPeer::AppendScore(cache, "data");
-  std::stringstream stream;
-  Status status = cache.Serialize(stream);
+  const std::string path = ::testing::TempDir() + "/orx_mismatched.orxc2";
+  std::filesystem::remove(path);
+  Status status = io::WriteRankCacheContainer(cache, path);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("data"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST_F(RankCacheTest, ZeroCoefficientTermIsReportedMissing) {
@@ -431,7 +312,7 @@ TEST_F(RankCacheTest, MatchesBm25ComparesAllParameters) {
   EXPECT_FALSE(cache.MatchesBm25(other));
 }
 
-TEST_F(RankCacheTest, ParallelBuildSerializesByteIdentically) {
+TEST_F(RankCacheTest, ParallelBuildWritesByteIdenticalContainer) {
   const std::vector<std::string> terms = {"data",    "mining", "query",
                                           "systems", "web",    "xml",
                                           "database", "search"};
@@ -449,10 +330,8 @@ TEST_F(RankCacheTest, ParallelBuildSerializesByteIdentically) {
                                          dblp_.dataset.corpus(), rates_,
                                          terms, parallel, &par_stats);
 
-  std::stringstream sa, sb;
-  ASSERT_TRUE(a.Serialize(sa).ok());
-  ASSERT_TRUE(b.Serialize(sb).ok());
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(ContainerBytes(a, "orx_sequential.orxc2"),
+            ContainerBytes(b, "orx_parallel.orxc2"));
 
   EXPECT_EQ(seq_stats.threads, 1);
   EXPECT_EQ(par_stats.threads, 4);

@@ -1,18 +1,21 @@
-// Robustness sweeps over the parsers/deserializers: byte mutations and
-// exhaustive truncations of valid inputs must produce a clean Status (or
-// a successful parse), never a crash, hang, or runaway allocation.
+// Robustness sweeps over the parsers and container loaders: byte
+// mutations and exhaustive truncations of valid inputs must produce a
+// clean Status (or a successful parse), never a crash, hang, or runaway
+// allocation.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
+#include <iterator>
 
 #include "common/rng.h"
 #include "core/rank_cache.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/dblp_xml.h"
 #include "datasets/figure1.h"
-#include "io/dataset_io.h"
 #include "io/graph_tsv.h"
+#include "io/snapshot_io.h"
+#include "text/query.h"
 
 namespace orx {
 namespace {
@@ -29,23 +32,52 @@ std::string ValidTsv() {
   return io::WriteGraphTsv(fig.dataset);
 }
 
-std::string ValidBinary() {
-  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
-  std::stringstream stream;
-  EXPECT_TRUE(io::SerializeDataset(fig.dataset, stream).ok());
-  return stream.str();
+// The container loaders only speak paths, so each input goes through a
+// scratch file.
+std::string TempPath(const char* name) {
+  return ::testing::TempDir() + "/" + name;
 }
 
-std::string ValidCache() {
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string ValidDatasetContainer() {
+  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
+  const std::string path = TempPath("robustness_valid.orxd2");
+  EXPECT_TRUE(io::WriteDatasetContainer(
+                  fig.dataset,
+                  datasets::DblpGroundTruthRates(fig.dataset.schema(),
+                                                 fig.types),
+                  path)
+                  .ok());
+  return ReadFileBytes(path);
+}
+
+std::string ValidCacheContainer() {
   datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
   graph::TransferRates rates =
       datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
   core::RankCache cache = core::RankCache::BuildForTerms(
       fig.dataset.authority(), fig.dataset.corpus(), rates, {"olap"},
       core::RankCache::Options{});
-  std::stringstream stream;
-  EXPECT_TRUE(cache.Serialize(stream).ok());
-  return stream.str();
+  const std::string path = TempPath("robustness_valid.orxc2");
+  EXPECT_TRUE(io::WriteRankCacheContainer(cache, path).ok());
+  return ReadFileBytes(path);
+}
+
+// Shape checks only: the attach path a trusted snapshot takes.
+io::MappedDatasetOptions FastOpen() {
+  io::MappedDatasetOptions fast;
+  fast.deep_validate = false;
+  return fast;
 }
 
 // Applies `parse` to `rounds` mutated copies of `valid`; the only
@@ -98,22 +130,31 @@ TEST(RobustnessTest, GraphTsvMutations) {
 }
 
 TEST(RobustnessTest, BinaryDatasetMutations) {
-  const std::string valid = ValidBinary();
-  auto parse = [](const std::string& input) {
-    std::stringstream stream(input);
-    auto result = io::DeserializeDataset(stream);
-    (void)result;
+  const std::string valid = ValidDatasetContainer();
+  const std::string path = TempPath("robustness_input.orxd2");
+  auto parse = [&](const std::string& input) {
+    WriteFileBytes(path, input);
+    auto deep = io::OpenMappedDataset(path);
+    auto fast = io::OpenMappedDataset(path, FastOpen());
+    // Deep validation only tightens the fast path.
+    EXPECT_TRUE(!deep.ok() || fast.ok());
   };
   MutationSweep(valid, parse, 200, 3);
   TruncationSweep(valid, parse);
 }
 
 TEST(RobustnessTest, RankCacheMutations) {
-  const std::string valid = ValidCache();
-  auto parse = [](const std::string& input) {
-    std::stringstream stream(input);
-    auto result = core::RankCache::Deserialize(stream);
-    (void)result;
+  const std::string valid = ValidCacheContainer();
+  const std::string path = TempPath("robustness_input.orxc2");
+  const text::QueryVector query(text::ParseQuery("olap data cube"));
+  auto parse = [&](const std::string& input) {
+    WriteFileBytes(path, input);
+    auto deep = io::OpenMappedRankCache(path);
+    auto fast = io::OpenMappedRankCache(path, FastOpen());
+    EXPECT_TRUE(!deep.ok() || fast.ok());
+    // Value-level garbage is reachable on the fast path; Query on it
+    // must degrade to a Status, never crash.
+    if (fast.ok()) IgnoreError(fast->Query(query));
   };
   MutationSweep(valid, parse, 200, 4);
   TruncationSweep(valid, parse);

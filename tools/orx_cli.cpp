@@ -29,7 +29,6 @@
 #include "explain/explainer.h"
 #include "graph/validate.h"
 #include "io/container.h"
-#include "io/dataset_io.h"
 #include "io/graph_tsv.h"
 #include "io/snapshot_io.h"
 #include "net/net_util.h"
@@ -47,8 +46,7 @@ constexpr const char* kHelp = R"(commands:
   generate dblp <papers>      generate a synthetic DBLP dataset
   generate bio <pubs>         generate a synthetic biological dataset
   parse <dblp.xml>            shred a DBLP XML file into a dataset
-  load <file> | save <file>   binary dataset persistence (.orxd)
-  load-tsv <f> | save-tsv <f> human-editable TSV persistence
+  load-tsv <f> | save-tsv <f> load / save the dataset as editable TSV
   dot <rank> [file]           Graphviz export of a result's explanation
   info                        dataset statistics
   rates gt | uniform [v] | show   set/show authority transfer rates
@@ -61,8 +59,7 @@ constexpr const char* kHelp = R"(commands:
   pack <f.orxd2> [f.orxc2]    write the dataset (and attached rank cache)
                               as zero-copy mmap containers (orx_serve
                               --dataset / --rank-cache attach them)
-  validate [file]             deep structural check of an .orxd dataset,
-                              .orxc rank cache, or .orxd2/.orxc2 mmap
+  validate [file]             deep structural check of an .orxd2 / .orxc2
                               container (no file: current dataset)
   query <keywords...>         run ObjectRank2
   explain <rank>              explaining subgraph of a result
@@ -515,17 +512,16 @@ void DoValidate(CliState& state, const std::string& args) {
     std::printf("%s\n", status.ok() ? "dataset OK" : status.ToString().c_str());
     return;
   }
-  // Dispatch on the file's magic: "ORXD2"/"ORXC2" mmap containers first
-  // (their 8-byte magic shares the old formats' 4-byte prefix), then the
-  // streamed "ORXD" datasets and "ORXC" rank caches.
+  // Dispatch on the file's magic: an "ORXD2" dataset or an "ORXC2" rank
+  // cache container.
   char magic[8] = {};
   {
     std::ifstream in(path, std::ios::binary);
-    if (!in || !in.read(magic, 4)) {
+    if (!in) {
       std::printf("cannot read %s\n", path.c_str());
       return;
     }
-    in.read(magic + 4, 4);  // optional: old files may be this short
+    in.read(magic, 8);
   }
   if (std::equal(magic, magic + 8, orx::io::kDatasetMagic)) {
     // Deep validation is the point here: hashes over every section,
@@ -548,28 +544,8 @@ void DoValidate(CliState& state, const std::string& args) {
     }
     std::printf("mmap rank cache OK: %zu terms x %zu nodes\n",
                 cache->Terms().size(), cache->num_nodes());
-  } else if (std::string_view(magic, 4) == "ORXD") {
-    auto loaded = orx::io::LoadDataset(path);
-    if (!loaded.ok()) {
-      std::printf("%s\n", loaded.status().ToString().c_str());
-      return;
-    }
-    if (!loaded->finalized()) loaded->Finalize();
-    graph::TransferRates rates(loaded->schema(), 0.3);
-    Status status = ValidateDataset(*loaded, rates);
-    std::printf("%s\n",
-                status.ok() ? "dataset OK" : status.ToString().c_str());
-  } else if (std::string_view(magic, 4) == "ORXC") {
-    auto cache = core::RankCache::Load(path);
-    if (!cache.ok()) {
-      std::printf("%s\n", cache.status().ToString().c_str());
-      return;
-    }
-    Status status = cache->ValidateInvariants();
-    std::printf("%s\n",
-                status.ok() ? "rank cache OK" : status.ToString().c_str());
   } else {
-    std::printf("%s: unrecognized magic (expected ORXD or ORXC)\n",
+    std::printf("%s: unrecognized magic (expected ORXD2 or ORXC2)\n",
                 path.c_str());
   }
 }
@@ -677,21 +653,6 @@ int main() {
             *state.dataset, std::string(orx::StripWhitespace(args)));
         std::printf("%s\n", status.ok() ? "saved"
                                          : status.ToString().c_str());
-      }
-    } else if (command == "load") {
-      auto loaded = orx::io::LoadDataset(std::string(
-          orx::StripWhitespace(args)));
-      if (!loaded.ok()) {
-        std::printf("%s\n", loaded.status().ToString().c_str());
-      } else {
-        state.AdoptDataset(std::move(loaded).value());
-      }
-    } else if (command == "save") {
-      if (state.Ready()) {
-        auto status = orx::io::SaveDataset(
-            *state.dataset, std::string(orx::StripWhitespace(args)));
-        std::printf("%s\n", status.ok() ? "saved" :
-                    status.ToString().c_str());
       }
     } else if (command == "info") {
       if (state.Ready()) {

@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <functional>
 #include <iostream>
 #include <latch>
@@ -68,6 +69,11 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+Clock::duration ToDuration(double seconds) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(seconds));
 }
 
 struct ClientFlags {
@@ -600,6 +606,11 @@ struct InflightFrame {
   bool is_write = false;
 };
 
+/// Open-loop sanity cap on a connection's outstanding frames, so a
+/// stalled server cannot grow the in-flight map without limit; sends due
+/// past the cap are simply not offered.
+constexpr size_t kMaxOpenLoopInflight = 4096;
+
 struct LoadConn {
   int fd = -1;
   std::string outbuf;
@@ -684,7 +695,7 @@ void CloseLoadConn(LoadConn* conn, LoadCounters* counters) {
 }
 
 void SendSearch(LoadConn* conn, const LoadShared& shared, Rng& rng,
-                LoadCounters* counters, Clock::time_point now) {
+                LoadCounters* counters, Clock::time_point due) {
   net::SearchRequest request;
   request.query = (*shared.terms)[shared.popularity->Sample(rng)];
   request.k = shared.flags->k;
@@ -692,7 +703,7 @@ void SendSearch(LoadConn* conn, const LoadShared& shared, Rng& rng,
   const uint64_t id = conn->next_id++;
   conn->outbuf += net::EncodeFrame(net::Op::kSearch, id,
                                    net::EncodeSearchRequest(request));
-  conn->inflight.emplace(id, InflightFrame{now, false});
+  conn->inflight.emplace(id, InflightFrame{due, false});
   ++counters->sent;
 }
 
@@ -702,7 +713,7 @@ void SendSearch(LoadConn* conn, const LoadShared& shared, Rng& rng,
 /// rejected at apply time, which the rejected-batch accounting absorbs),
 /// and fresh paper nodes built from head terms.
 void SendMutate(LoadConn* conn, const LoadShared& shared, Rng& rng,
-                LoadCounters* counters, Clock::time_point now) {
+                LoadCounters* counters, Clock::time_point due) {
   const WritePlan& plan = *shared.writes;
   const std::vector<std::string>& terms = *shared.terms;
   auto term = [&]() -> const std::string& {
@@ -743,19 +754,22 @@ void SendMutate(LoadConn* conn, const LoadShared& shared, Rng& rng,
   const uint64_t id = conn->next_id++;
   conn->outbuf += net::EncodeFrame(net::Op::kMutate, id,
                                    net::EncodeMutateRequest(request));
-  conn->inflight.emplace(id, InflightFrame{now, true});
+  conn->inflight.emplace(id, InflightFrame{due, true});
   ++counters->sent;
   ++counters->writes_sent;
 }
 
-/// Picks read vs write per the configured mix.
+/// Picks read vs write per the configured mix. The request's latency is
+/// measured from `due`: its scheduled time in the open loop, so a late
+/// generator shows up as latency instead of hiding, and the send time in
+/// the closed loop.
 void SendOne(LoadConn* conn, const LoadShared& shared, Rng& rng,
-             LoadCounters* counters, Clock::time_point now) {
+             LoadCounters* counters, Clock::time_point due) {
   if (shared.writes != nullptr &&
       rng.UniformDouble() < shared.flags->write_fraction) {
-    SendMutate(conn, shared, rng, counters, now);
+    SendMutate(conn, shared, rng, counters, due);
   } else {
-    SendSearch(conn, shared, rng, counters, now);
+    SendSearch(conn, shared, rng, counters, due);
   }
 }
 
@@ -828,12 +842,9 @@ void RunLoadThread(int thread_index, int num_conns, LoadShared shared,
 
   shared.ready->arrive_and_wait();
   const Clock::time_point start = Clock::now();
-  const Clock::time_point end =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(flags.duration));
+  const Clock::time_point end = start + ToDuration(flags.duration);
   const Clock::time_point drain_deadline =
-      end + std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(flags.drain_grace));
+      end + ToDuration(flags.drain_grace);
 
   std::vector<pollfd> fds;
   std::vector<size_t> index;  // fds[i] -> conns[index[i]]
@@ -864,11 +875,11 @@ void RunLoadThread(int thread_index, int num_conns, LoadShared shared,
       if (!sending) continue;
       if (flags.rate > 0.0) {
         // Open loop: send on schedule regardless of outstanding frames
-        // (bounded only by a sanity cap so a stalled server can't grow
-        // the map without limit — those sends are simply not offered).
+        // (bounded only by kMaxOpenLoopInflight).
         while (conn.next_send <= elapsed &&
-               conn.inflight.size() < 4096) {
-          SendOne(&conn, shared, rng, counters, now);
+               conn.inflight.size() < kMaxOpenLoopInflight) {
+          SendOne(&conn, shared, rng, counters,
+                  start + ToDuration(conn.next_send));
           conn.next_send += interval;
         }
       } else {
@@ -896,8 +907,20 @@ void RunLoadThread(int thread_index, int num_conns, LoadShared shared,
       usleep(1000);
       continue;
     }
+    // Sleep until the earliest open-loop send is due, and at most 2 ms
+    // so reconnects and the end of the run are noticed without traffic.
+    double wait = 0.002;
+    if (sending && flags.rate > 0.0) {
+      const double now_s = Seconds(start, Clock::now());
+      for (const LoadConn& conn : conns) {
+        if (conn.fd != -1 && conn.inflight.size() < kMaxOpenLoopInflight) {
+          wait = std::min(wait, conn.next_send - now_s);
+        }
+      }
+    }
+    const timespec timeout{0, static_cast<long>(std::max(wait, 0.0) * 1e9)};
     const int ready = net::RetryEintr([&] {
-      return poll(fds.data(), fds.size(), 2);
+      return ppoll(fds.data(), fds.size(), &timeout, nullptr);
     });
     if (ready <= 0) continue;
 

@@ -10,8 +10,13 @@ cd "$(dirname "$0")/.."
 
 SECONDS_PER_TARGET="${1:-30}"
 BUILD_DIR="${ORX_FUZZ_BUILD_DIR:-build-fuzz}"
-TARGETS=(dblp_xml graph_tsv dataset_io container rank_cache text net_frame
-  mutation)
+# Every harness fuzz/CMakeLists.txt declares, so none can be built but
+# left out of the gate.
+mapfile -t TARGETS < <(sed -n 's/^orx_fuzzer(\(.*\)_fuzz)$/\1/p' fuzz/CMakeLists.txt)
+if [ "${#TARGETS[@]}" -eq 0 ]; then
+  echo "no orx_fuzzer() targets found in fuzz/CMakeLists.txt"
+  exit 1
+fi
 
 cmake -B "$BUILD_DIR" -S . \
   -DORX_FUZZ=ON \
